@@ -441,13 +441,6 @@ let gantt_cmd =
 
 (* --- serving: shared plumbing for serve / daemon / client ------------- *)
 
-(* benchmark names resolve against the extended suite, so serve batches
-   can mix the paper's six with fir/iir/fft extension workloads *)
-let serve_lookup name ~seed =
-  Option.map
-    (fun g -> (g, table_for ~seed g))
-    (List.assoc_opt name (Workloads.Filters.extended ()))
-
 let serve_in_arg =
   let doc = "Read JSONL requests from $(docv) ($(b,-) for stdin)." in
   Arg.(value & opt string "-" & info [ "in"; "i" ] ~docv:"FILE" ~doc)
@@ -582,7 +575,8 @@ let serve_cmd =
     let served =
       with_in input @@ fun input ->
       with_out output @@ fun output ->
-      Serve.Jsonl.serve ~lookup:serve_lookup ?capacity server ~input ~output
+      Serve.Jsonl.serve ~lookup:Workloads.Filters.lookup ?capacity server
+        ~input ~output
     in
     serve_summary ~served ()
   in
@@ -622,10 +616,16 @@ let daemon_cmd =
         Printf.eprintf "hetsched: --idle-timeout must be > 0 (got %g)\n" s;
         exit 2
     | _ -> ());
+    (* a client that hangs up before reading its responses must end only
+       its own session: the write fails with EPIPE instead of the signal
+       killing the daemon *)
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let server =
       make_server ~domains ~cache_entries ~cache_shards ~no_cache ~queue
     in
-    let daemon = Serve.Daemon.create ~lookup:serve_lookup ?capacity server in
+    let daemon =
+      Serve.Daemon.create ~lookup:Workloads.Filters.lookup ?capacity server
+    in
     let served =
       if socket = "-" then
         Serve.Daemon.serve_fd ?idle_timeout daemon ~input:Unix.stdin
@@ -682,7 +682,8 @@ let admit_cmd =
            incr line_no;
            if String.trim s <> "" then
              match
-               Serve.Jsonl.line_of_string ~lookup:serve_lookup ~line:!line_no s
+               Serve.Jsonl.line_of_string ~lookup:Workloads.Filters.lookup
+                 ~line:!line_no s
              with
              | Error msg ->
                  emit (Serve.Jsonl.error_to_string ~id:(Obs.Json.Int !line_no) msg)

@@ -221,9 +221,15 @@ let solve_raw req =
     { result; status; violations; stats; dvfs; rtl }
   in
   Obs.Counter.incr c_requests;
-  Obs.Span.with_
-    (Printf.sprintf "synthesis.solve:%s" (algorithm_name req.algorithm))
-    (fun () ->
+  (* the span name is formatted only when someone records it *)
+  let traced body =
+    if Obs.Span.enabled () then
+      Obs.Span.with_
+        (Printf.sprintf "synthesis.solve:%s" (algorithm_name req.algorithm))
+        body
+    else body ()
+  in
+  traced (fun () ->
       (* Leveled requests solve over the DVFS-expanded table: a (type,
          level) pair is just one more selectable type, so every algorithm
          is level-aware for free. An invalid ladder raises out of here

@@ -106,32 +106,55 @@ let shard_lengths t =
 let clear t =
   Array.iter (fun s -> locked s (fun () -> Hashtbl.reset s.table)) t.shards
 
+(* Decimal text of an int, exactly as [string_of_int] spells it, written
+   straight into the buffer: no intermediate string per value. Digits are
+   produced on the non-positive side, where every int (min_int included)
+   has a representation; [mod] of a non-positive int is non-positive. *)
+let rec add_digits buf v =
+  if v <= -10 then add_digits buf (v / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (v mod 10)))
+
+let add_int buf v =
+  if v < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf v
+  end
+  else add_digits buf (-v)
+
+(* Lexicographic on (src, dst, delay, size): the order polymorphic
+   [compare] gives the same fields as a tuple. *)
+let compare_edge (a : Dfg.Graph.edge) (b : Dfg.Graph.edge) =
+  let c = Int.compare a.src b.src in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.dst b.dst in
+    if c <> 0 then c
+    else
+      let c = Int.compare a.delay b.delay in
+      if c <> 0 then c else Int.compare a.size b.size
+
 (* Canonical serialization of a request's semantic content. Everything that
    can influence the response goes in; edge insertion order — which the
    solvers never observe (they sweep the cached smallest-ready-first
    topological orders) — is canonicalized away by sorting the edge set.
    Node ids are the instance's identity (responses are node-indexed
    arrays), so node order is NOT canonicalized; names/ops are cosmetic and
-   excluded, as is [trace] which only toggles span emission. *)
+   excluded, as is [trace] which only toggles span emission. The text is
+   a stable format: cache keys must not change when this writer does. *)
 let digest (req : Core.Synthesis.request) =
   let g = req.Core.Synthesis.graph and table = req.Core.Synthesis.table in
   let n = Dfg.Graph.num_nodes g in
+  let k = Fulib.Table.num_types table in
   let buf = Buffer.create 1024 in
-  (* direct int/char appends: the digest runs on every request, and the
-     Printf.sprintf formatting this replaced was the bulk of its cost *)
-  let int v = Buffer.add_string buf (string_of_int v) in
+  let int v = add_int buf v in
   let ch c = Buffer.add_char buf c in
   ch 'n';
   int n;
   ch ';';
-  let edges =
-    List.sort compare
-      (List.map
-         (fun { Dfg.Graph.src; dst; delay; size } -> (src, dst, delay, size))
-         (Dfg.Graph.edges g))
-  in
-  List.iter
-    (fun (src, dst, delay, size) ->
+  let edges = Array.of_list (Dfg.Graph.edges g) in
+  Array.stable_sort compare_edge edges;
+  Array.iter
+    (fun { Dfg.Graph.src; dst; delay; size } ->
       ch 'e';
       int src;
       ch ',';
@@ -142,7 +165,6 @@ let digest (req : Core.Synthesis.request) =
       int size;
       ch ';')
     edges;
-  let k = Fulib.Table.num_types table in
   ch 'k';
   int k;
   ch ';';

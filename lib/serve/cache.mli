@@ -25,6 +25,10 @@
     [trace] is excluded too: it only controls span emission, never the
     response.
 
+    The serialization is a fixed text format, every int spelled in
+    decimal as [string_of_int] spells it, so keys stay the same across
+    builds however the writer is implemented.
+
     {2 Sharding}
 
     The cache is split into [shards] independent shards, each with its own

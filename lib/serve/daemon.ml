@@ -4,6 +4,7 @@ let served = Obs.Counter.make "serve.daemon.served"
 let connections = Obs.Counter.make "serve.daemon.connections"
 let malformed = Obs.Counter.make "serve.daemon.malformed"
 let idle_closed = Obs.Counter.make "serve.daemon.idle_closed"
+let peer_closed = Obs.Counter.make "serve.daemon.peer_closed"
 let rt_admitted = Obs.Counter.make "serve.rt.admitted"
 let rt_rejected = Obs.Counter.make "serve.rt.rejected"
 let rt_released = Obs.Counter.make "serve.rt.released"
@@ -177,11 +178,16 @@ let rec take_line r ~block ~idle_timeout =
 
 (* --- writes ----------------------------------------------------------- *)
 
+(* The peer hung up: nobody is left to read what this session writes. *)
+exception Peer_closed
+
 let rec write_all fd s off len =
   if len > 0 then
     match Unix.write_substring fd s off len with
     | n -> write_all fd s (off + n) (len - n)
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
+    | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+        raise Peer_closed
 
 (* One write per line: lines under PIPE_BUF land atomically in pipes, so
    interleaved readers never see torn responses. *)
@@ -288,7 +294,14 @@ let serve_fd ?idle_timeout t ~input ~output =
         Obs.Counter.incr idle_closed
     | Eof -> flush_pending ()
   in
-  loop ();
+  (* A write to a departed peer ends the session, not the daemon. Its
+     requests still queued on the shared server (the failed write was a
+     busy, error or release line) are drained and dropped, so the next
+     session's drain returns only its own responses. *)
+  (try loop ()
+   with Peer_closed ->
+     Obs.Counter.incr peer_closed;
+     if not (Queue.is_empty pending) then ignore (Server.drain t.server));
   !written
 
 (* --- unix-domain socket listener -------------------------------------- *)
@@ -350,7 +363,8 @@ let call ~path ~input ~output =
               push ()
           | exception End_of_file -> Unix.shutdown sock Unix.SHUTDOWN_SEND
         in
-        push ())
+        (* the daemon hung up first: stop sending, read what it wrote *)
+        try push () with Peer_closed -> ())
   in
   let buf = Bytes.create 4096 in
   let count = ref 0 in

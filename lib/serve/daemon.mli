@@ -40,7 +40,9 @@
     Counters [serve.daemon.requests] (well-formed lines),
     [serve.daemon.busy] (shed), [serve.daemon.served] (solved responses),
     [serve.daemon.malformed], [serve.daemon.connections] and
-    [serve.daemon.idle_closed] (sessions reaped by the idle timeout);
+    [serve.daemon.idle_closed] (sessions reaped by the idle timeout),
+    [serve.daemon.peer_closed] (sessions ended because a response write
+    found the client gone: [EPIPE] or [ECONNRESET]);
     admission verdicts count in [serve.rt.admitted] / [serve.rt.rejected]
     / [serve.rt.released], and the [serve.rt.utilization_pct] gauge
     tracks the admitted set's total utilization (percent, last
@@ -70,9 +72,13 @@ val latency_histogram : unit -> Obs.Histogram.t
     that stays silent that long {e while nothing is in flight} — a
     client mid-burst is never reaped — counting it in
     [serve.daemon.idle_closed]. Returns the number of response lines
-    written (solved + busy + error + verdicts). This is the stdio
-    streaming mode ([--socket -]) and the per-connection loop of
-    {!listen}; tests drive it over pipes. *)
+    written (solved + busy + error + verdicts). A client that hangs up
+    before reading its responses ends only its own session: the failed
+    write is counted in [serve.daemon.peer_closed] and [serve_fd]
+    returns, provided [SIGPIPE] is ignored (as [hetsched daemon] does),
+    so the write fails with [EPIPE] instead of killing the process. This
+    is the stdio streaming mode ([--socket -]) and the per-connection
+    loop of {!listen}; tests drive it over pipes. *)
 val serve_fd :
   ?idle_timeout:float -> t -> input:Unix.file_descr -> output:Unix.file_descr -> int
 

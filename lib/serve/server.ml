@@ -60,17 +60,22 @@ let drain t =
   Queue.clear t.queue;
   if Array.length batch = 0 then []
   else
-    Obs.Span.with_
-      (Printf.sprintf "serve.drain:%d" (Array.length batch))
-    @@ fun () ->
-    (* Force shared lazies on the submitting domain before fan-out: pool
-       tasks must not race to fill a graph's memoized topo order. *)
-    Array.iter
-      (fun (req : Core.Synthesis.request) ->
-        Dfg.Graph.preheat req.Core.Synthesis.graph;
-        Fulib.Table.preheat req.Core.Synthesis.table)
-      batch;
-    Array.to_list (Par.Pool.map_array t.pool (guarded_solve t) batch)
+    let run () =
+      (* Force shared lazies on the submitting domain before fan-out: pool
+         tasks must not race to fill a graph's memoized topo order. *)
+      Array.iter
+        (fun (req : Core.Synthesis.request) ->
+          Dfg.Graph.preheat req.Core.Synthesis.graph;
+          Fulib.Table.preheat req.Core.Synthesis.table)
+        batch;
+      Array.to_list (Par.Pool.map_array t.pool (guarded_solve t) batch)
+    in
+    (* the span name is formatted only when someone records it *)
+    if Obs.Span.enabled () then
+      Obs.Span.with_
+        (Printf.sprintf "serve.drain:%d" (Array.length batch))
+        run
+    else run ()
 
 let solve_batch t reqs =
   let rec waves acc = function

@@ -268,3 +268,21 @@ let extended () =
       ("3-section biquad", iir_biquad_cascade ~sections:3);
       ("8-butterfly fft stage", fft_stage ~butterflies:8);
     ]
+
+(* Built and preheated once, at module initialisation, before the program
+   can spawn a domain: a graph is immutable once its memoized orders are
+   forced, so every request and every pool worker shares these values. A
+   [Lazy] would defer the build, but [Lazy.force] is not domain-safe. *)
+let named =
+  List.map
+    (fun (name, g) ->
+      Dfg.Graph.preheat g;
+      (name, g))
+    (extended ())
+
+let lookup name ~seed =
+  match List.assoc_opt name named with
+  | None -> None
+  | Some g ->
+      let rng = Prng.create seed in
+      Some (g, Tables.for_graph rng ~library:Fulib.Library.standard3 g)

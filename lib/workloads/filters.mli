@@ -61,3 +61,14 @@ val extended : unit -> (string * Dfg.Graph.t) list
 val trees : unit -> (string * Dfg.Graph.t) list
 
 val dags : unit -> (string * Dfg.Graph.t) list
+
+(** [lookup name ~seed] resolves a name from {!extended} to its graph and
+    a fresh seeded {!Tables.for_graph} table over
+    {!Fulib.Library.standard3}; [None] for an unknown name. This is how
+    the serving front ends resolve ["benchmark"] request fields.
+
+    The graphs are built and {!Dfg.Graph.preheat}ed once, at module
+    initialisation, and shared: repeated calls return the physically same
+    graph, which is safe to hand to any domain. Only the table is built
+    per call. *)
+val lookup : string -> seed:int -> (Dfg.Graph.t * Fulib.Table.t) option

@@ -364,17 +364,17 @@ let test_idle_timeout_validated () =
 
 (* --- socket listener + client pump --------------------------------------- *)
 
-let test_socket_roundtrip () =
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "hetsched-test-%d.sock" (Unix.getpid ()))
-  in
+let socket_path tag =
+  Filename.concat (Filename.get_temp_dir_name ())
+    (Printf.sprintf "hetsched-test-%s-%d.sock" tag (Unix.getpid ()))
+
+(* a listener on its own domain, returned once its socket is bound *)
+let spawn_listener ~connections ~path =
   let server = Serve.Server.create ~cache:(Serve.Cache.create ~entries:64 ()) () in
   let d = Serve.Daemon.create ~lookup server in
   let listener =
-    Domain.spawn (fun () -> Serve.Daemon.listen ~connections:1 d ~path ())
+    Domain.spawn (fun () -> Serve.Daemon.listen ~connections d ~path ())
   in
-  (* wait for the listener to bind *)
   let rec await tries =
     if not (Sys.file_exists path) then
       if tries = 0 then Alcotest.fail "daemon socket never appeared"
@@ -384,35 +384,131 @@ let test_socket_roundtrip () =
       end
   in
   await 500;
+  listener
+
+(* one client session through Serve.Daemon.call: the number of response
+   lines it counted, and the lines themselves *)
+let call_lines ~path lines =
   let reqs = Filename.temp_file "hetsched-reqs" ".jsonl" in
   let resps = Filename.temp_file "hetsched-resps" ".jsonl" in
   let oc = open_out reqs in
-  List.iter
-    (fun (id, seed) -> output_string oc (request_line ~id ~seed ^ "\n"))
-    [ ("s1", 30); ("s2", 31); ("s3", 32) ];
+  List.iter (fun l -> output_string oc (l ^ "\n")) lines;
   close_out oc;
   let input = open_in reqs in
   let output = open_out resps in
   let received = Serve.Daemon.call ~path ~input ~output in
   close_in input;
   close_out output;
+  let ic = open_in resps in
+  let replies = In_channel.input_all ic in
+  close_in ic;
+  Sys.remove reqs;
+  Sys.remove resps;
+  (received, String.split_on_char '\n' replies |> List.filter (( <> ) ""))
+
+let test_socket_roundtrip () =
+  let path = socket_path "roundtrip" in
+  let listener = spawn_listener ~connections:1 ~path in
+  let received, lines =
+    call_lines ~path
+      (List.map
+         (fun (id, seed) -> request_line ~id ~seed)
+         [ ("s1", 30); ("s2", 31); ("s3", 32) ])
+  in
   Alcotest.(check int) "three responses over the socket" 3 received;
   let total = Domain.join listener in
   Alcotest.(check int) "listener counted the same lines" 3 total;
-  let ic = open_in resps in
-  let lines = List.init 3 (fun _ -> input_line ic) in
-  close_in ic;
   Alcotest.(check (list string))
     "socket replies tagged by id, in order" [ "s1"; "s2"; "s3" ]
     (List.map id_of lines);
   List.iter
     (fun l -> Alcotest.(check string) "socket replies solved" "ok" (status_of l))
     lines;
-  Sys.remove reqs;
-  Sys.remove resps;
+  Alcotest.(check bool) "socket file removed on exit" false (Sys.file_exists path)
+
+(* --- clients that hang up early ------------------------------------------ *)
+
+(* The response pipe's reader is gone before the daemon writes a byte:
+   every write fails with EPIPE, which ends that session only. serve_fd
+   returns, having written nothing, and counts one peer_closed. The
+   failing write is the malformed line's error reply, sent while the
+   valid line before it is still queued: the next session on the same
+   daemon must not inherit that request. *)
+let test_reader_gone_ends_session () =
+  let closed0 = counter "serve.daemon.peer_closed" in
+  let server =
+    Serve.Server.create ~cache:(Serve.Cache.create ~entries:64 ())
+      ~queue_capacity:4 ()
+  in
+  let d = Serve.Daemon.create ~lookup server in
+  (* one session on this thread: [input] is written and closed up front,
+     and the replies (a few lines) fit in the pipe buffer *)
+  let session ~read_replies input =
+    let in_r, in_w = Unix.pipe () and out_r, out_w = Unix.pipe () in
+    if not read_replies then Unix.close out_r;
+    ignore (Unix.write_substring in_w input 0 (String.length input));
+    Unix.close in_w;
+    let n = Serve.Daemon.serve_fd d ~input:in_r ~output:out_w in
+    Unix.close in_r;
+    Unix.close out_w;
+    let replies =
+      if read_replies then begin
+        let ic = Unix.in_channel_of_descr out_r in
+        let s = In_channel.input_all ic in
+        close_in ic;
+        String.split_on_char '\n' s |> List.filter (( <> ) "")
+      end
+      else []
+    in
+    (n, replies)
+  in
+  let n, _ =
+    session ~read_replies:false
+      (request_line ~id:"p1" ~seed:40 ^ "\n" ^ "{not json\n")
+  in
+  Alcotest.(check int) "nothing written" 0 n;
+  Alcotest.(check int) "peer_closed counter" (closed0 + 1)
+    (counter "serve.daemon.peer_closed");
+  let n, replies =
+    session ~read_replies:true (request_line ~id:"q1" ~seed:41 ^ "\n")
+  in
+  Alcotest.(check int) "next session answers its own line" 1 n;
+  Alcotest.(check (list string)) "only its own id" [ "q1" ]
+    (List.map id_of replies);
+  Alcotest.(check string) "solved" "ok" (status_of (List.hd replies))
+
+(* A client sends a batch and closes without reading. The daemon must
+   survive it and serve the next connection. *)
+let test_early_close_spares_next_client () =
+  let path = socket_path "early-close" in
+  let listener = spawn_listener ~connections:2 ~path in
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect sock (Unix.ADDR_UNIX path);
+  let batch =
+    String.concat ""
+      (List.init 16 (fun i ->
+           request_line ~id:(Printf.sprintf "e%d" i) ~seed:(60 + i) ^ "\n"))
+  in
+  ignore (Unix.write_substring sock batch 0 (String.length batch));
+  Unix.close sock;
+  let received, lines =
+    call_lines ~path
+      [ request_line ~id:"n1" ~seed:80; request_line ~id:"n2" ~seed:81 ]
+  in
+  Alcotest.(check int) "second client answered" 2 received;
+  Alcotest.(check (list string)) "second client's ids" [ "n1"; "n2" ]
+    (List.map id_of lines);
+  List.iter
+    (fun l -> Alcotest.(check string) "second client solved" "ok" (status_of l))
+    lines;
+  (* the first session may have written some lines before the hang-up *)
+  Alcotest.(check bool) "listener returned after both connections" true
+    (Domain.join listener >= 2);
   Alcotest.(check bool) "socket file removed on exit" false (Sys.file_exists path)
 
 let () =
+  (* as hetsched daemon does: a departed peer surfaces as EPIPE *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Alcotest.run "daemon"
     [
       ( "streaming",
@@ -449,5 +545,12 @@ let () =
         [
           Alcotest.test_case "listen + call round trip" `Quick
             test_socket_roundtrip;
+        ] );
+      ( "early close",
+        [
+          Alcotest.test_case "reader gone ends the session" `Quick
+            test_reader_gone_ends_session;
+          Alcotest.test_case "next client served" `Quick
+            test_early_close_spares_next_client;
         ] );
     ]

@@ -92,6 +92,106 @@ let test_digest_edge_order_canonical () =
     "cached response equals fresh" true
     (resp = Core.Synthesis.solve (req g_fwd))
 
+(* The digest writer against the reference in digest_reference.ml, on
+   random graphs (edge order shuffled, duplicate and delayed edges),
+   tables and knob sets. Ints are drawn to cross every digit-count
+   boundary and both signs: the wire does not validate budget_ms, so
+   negative values reach the writer. Library capacities must be
+   non-negative, so mem_capacity covers 0 to max_int. *)
+let digest_request_gen =
+  let open QCheck.Gen in
+  let extremes = [ min_int; min_int + 1; -1_000_000; -10; -9; -1; 0 ] in
+  let boundaries = [ 0; 1; 9; 10; 99; 100; 999_999; max_int - 1; max_int ] in
+  let signed =
+    oneof [ oneofl (extremes @ boundaries); int; small_signed_int ]
+  in
+  let non_neg =
+    oneof [ oneofl boundaries; map abs small_signed_int; int_bound max_int ]
+  in
+  let positive = map (fun v -> max 1 v) non_neg in
+  let* n = int_range 1 16 in
+  let edge =
+    let* src = int_bound (n - 1) and* dst = int_bound (n - 1) in
+    let* delay = oneof [ return 0; int_range 1 3; oneofl [ 10; max_int ] ] in
+    let* size = non_neg in
+    (* zero-delay edges point forward, so the DAG portion stays acyclic *)
+    let src, dst, delay =
+      if delay = 0 && src >= dst then
+        if src = dst then (src, dst, 1) else (dst, src, 0)
+      else (src, dst, delay)
+    in
+    return { Dfg.Graph.src; dst; delay; size }
+  in
+  let* edges = list_size (int_bound (2 * n)) edge in
+  let* edges = shuffle_l edges in
+  let* k = int_range 1 4 in
+  let* caps = array_size (return k) non_neg in
+  let* time = array_size (return n) (array_size (return k) positive) in
+  let* cost = array_size (return n) (array_size (return k) non_neg) in
+  let* algorithm = oneofl Core.Synthesis.all_algorithms in
+  let* scheduler =
+    oneofl [ Core.Synthesis.List_scheduling; Core.Synthesis.Force_directed ]
+  in
+  let* validate = bool and* trace = bool and* rtl = bool in
+  let* deadline = signed in
+  let* budget_ms = opt signed in
+  let level =
+    let* freq = int_range 1 100 in
+    let* time_pct = oneof [ int_range 100 400; return max_int ] in
+    let* energy_pct = non_neg in
+    return (Fulib.Dvfs.level ~time_pct ~energy_pct freq)
+  in
+  let* levels =
+    opt (array_size (return k) (array_size (int_range 1 3) level))
+  in
+  let g =
+    Dfg.Graph.of_edges ~names:(Array.init n (Printf.sprintf "v%d")) edges
+  in
+  let library =
+    Fulib.Library.make ~mem_capacity:caps
+      (Array.init k (Printf.sprintf "T%d"))
+  in
+  let table = Fulib.Table.make ~library ~time ~cost in
+  return
+    {
+      (Core.Synthesis.request ~algorithm ~deadline:1 g table) with
+      Core.Synthesis.deadline;
+      scheduler;
+      validate;
+      trace;
+      budget_ms;
+      levels;
+      rtl;
+    }
+
+let qcheck_digest_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"digest == reference digest"
+    (QCheck.make ~print:Digest_reference.text digest_request_gen)
+    (fun req -> Serve.Cache.digest req = Digest_reference.digest req)
+
+(* the boundary ints themselves, each in every field that takes one *)
+let test_digest_extreme_ints () =
+  let g, tbl = instance ~seed:7 in
+  let base = request (g, tbl) in
+  List.iter
+    (fun v ->
+      let check label req =
+        Alcotest.(check string)
+          (Printf.sprintf "%s = %d" label v)
+          (Digest_reference.digest req) (Serve.Cache.digest req)
+      in
+      check "budget_ms" { base with Core.Synthesis.budget_ms = Some v };
+      check "deadline" { base with Core.Synthesis.deadline = v };
+      if v >= 0 then
+        check "mem_capacity"
+          {
+            base with
+            Core.Synthesis.table =
+              Fulib.Table.with_mem_capacity tbl
+                (Array.make (Fulib.Table.num_types tbl) v);
+          })
+    [ min_int; min_int + 1; -100; -10; -9; -1; 0; 1; 9; 10; 100; max_int ]
+
 (* --- cache ------------------------------------------------------------- *)
 
 let test_cached_response_byte_identical () =
@@ -227,9 +327,8 @@ let qcheck_sharded_matches_single_shard =
 (* Satellite: concurrent hammer — 4 domains solving overlapping digests
    through one sharded cache must lose no stores, and the aggregate
    counters must account for every lookup. *)
-let test_shard_concurrent_hammer () =
+let hammer reqs =
   let cache = Serve.Cache.create ~entries:256 ~shards:8 () in
-  let reqs = Array.init 8 (fun i -> request (instance ~seed:(300 + i))) in
   Array.iter
     (fun (r : Core.Synthesis.request) ->
       Dfg.Graph.preheat r.Core.Synthesis.graph;
@@ -286,6 +385,19 @@ let test_shard_concurrent_hammer () =
     (shard_sum "hit" >= hits);
   Alcotest.(check bool) "per-shard misses cover the aggregate delta" true
     (shard_sum "miss" >= misses)
+
+let test_shard_concurrent_hammer () =
+  hammer (Array.init 8 (fun i -> request (instance ~seed:(300 + i))))
+
+(* the same hammer over the shared named graphs: every domain solves
+   requests whose graphs are one physical value *)
+let test_shared_graph_hammer () =
+  hammer
+    (Array.of_list
+       (List.mapi
+          (fun i (name, _) ->
+            request (Option.get (Workloads.Filters.lookup name ~seed:(300 + i))))
+          (Workloads.Filters.extended ())))
 
 (* --- server ------------------------------------------------------------ *)
 
@@ -479,16 +591,14 @@ let test_jsonl_parse_errors () =
     {|{"graph": {"nodes": [{"name": "a"}], "edges": []}, "table": {"types": ["P1"], "time": [[1]], "cost": [[1]]}}|}
     (* no deadline *)
 
-let lookup name ~seed =
-  Option.map
-    (fun g -> (g, table_for ~seed g))
-    (List.assoc_opt name (Workloads.Filters.extended ()))
-
 (* deadline / deadline_factor / period are validated before dispatch: a
    bad value is a per-line error that names the offending field *)
 let test_jsonl_field_validation () =
+  let parse ~line s =
+    Serve.Jsonl.line_of_string ~lookup:Workloads.Filters.lookup ~line s
+  in
   let error_mentions field s =
-    match Serve.Jsonl.line_of_string ~lookup ~line:1 s with
+    match parse ~line:1 s with
     | Ok _ -> Alcotest.failf "expected an error for %s" s
     | Error msg ->
         let contains hay needle =
@@ -519,14 +629,14 @@ let test_jsonl_field_validation () =
     {|{"cmd": "admit", "benchmark": "diffeq", "deadline": 40, "period": 1.5}|};
   error_mentions "cmd" {|{"cmd": "evict", "task": "t1"}|};
   (* a release with no task key falls back to the line's id *)
-  (match Serve.Jsonl.line_of_string ~lookup ~line:9 {|{"cmd": "release"}|} with
+  (match parse ~line:9 {|{"cmd": "release"}|} with
   | Ok (Serve.Jsonl.Release r) ->
       Alcotest.(check string) "task defaults to the line id" "9" r.task
   | Ok _ -> Alcotest.fail "bare release parsed as something else"
   | Error e -> Alcotest.failf "bare release rejected: %s" e);
   (* valid lines of each kind still parse *)
   (match
-     Serve.Jsonl.line_of_string ~lookup ~line:1
+     parse ~line:1
        {|{"cmd": "admit", "benchmark": "diffeq", "deadline": 40, "period": 64, "task": "t1"}|}
    with
   | Ok (Serve.Jsonl.Admit a) ->
@@ -535,7 +645,7 @@ let test_jsonl_field_validation () =
   | Ok _ -> Alcotest.fail "admit line parsed as something else"
   | Error e -> Alcotest.failf "admit line rejected: %s" e);
   match
-    Serve.Jsonl.line_of_string ~lookup ~line:1 {|{"cmd": "release", "task": "t1"}|}
+    parse ~line:1 {|{"cmd": "release", "task": "t1"}|}
   with
   | Ok (Serve.Jsonl.Release r) -> Alcotest.(check string) "task key" "t1" r.task
   | Ok _ -> Alcotest.fail "release line parsed as something else"
@@ -572,8 +682,8 @@ let test_jsonl_serve_admission () =
       let server = Serve.Server.create ~pool () in
       let ic = open_in in_path and oc = open_out out_path in
       let served =
-        Serve.Jsonl.serve ~lookup ~capacity:(Rt.Admission.Uniform 2) server
-          ~input:ic ~output:oc
+        Serve.Jsonl.serve ~lookup:Workloads.Filters.lookup
+          ~capacity:(Rt.Admission.Uniform 2) server ~input:ic ~output:oc
       in
       close_in ic;
       close_out oc;
@@ -636,7 +746,8 @@ let test_jsonl_serve_channels () =
       let server = Serve.Server.create ~pool () in
       let ic = open_in in_path and oc = open_out out_path in
       let served =
-        Serve.Jsonl.serve ~lookup server ~input:ic ~output:oc
+        Serve.Jsonl.serve ~lookup:Workloads.Filters.lookup server ~input:ic
+          ~output:oc
       in
       close_in ic;
       close_out oc;
@@ -668,6 +779,53 @@ let test_jsonl_serve_channels () =
   Sys.remove out_path;
   Sys.rmdir dir
 
+(* --- shared named graphs ------------------------------------------------ *)
+
+(* Named benchmarks resolve to graphs built once and shared by every
+   request. Sharing must change no response: each name under each knob
+   shape and seed renders byte-identically to a solve over freshly built
+   graphs, and repeated lookups hand back the one physical graph. *)
+let fresh_lookup name ~seed =
+  Option.map
+    (fun g -> (g, table_for ~seed g))
+    (List.assoc_opt name (Workloads.Filters.extended ()))
+
+let test_shared_lookup_byte_identical () =
+  let render lookup line =
+    match Serve.Jsonl.line_of_string ~lookup ~line:1 line with
+    | Ok (Serve.Jsonl.Solve item) ->
+        Serve.Jsonl.response_to_string ~id:item.Serve.Jsonl.id
+          (Core.Synthesis.solve item.Serve.Jsonl.request)
+    | Ok _ -> Alcotest.failf "not a solve line: %s" line
+    | Error msg -> Alcotest.failf "rejected %s: %s" line msg
+  in
+  let knobs =
+    [ ""; {|, "validate": true|}; {|, "levels": 3|}; {|, "rtl": true|} ]
+  in
+  List.iter
+    (fun (name, _) ->
+      List.iter
+        (fun knob ->
+          List.iter
+            (fun seed ->
+              let line =
+                Printf.sprintf
+                  {|{"id": "x", "benchmark": %S, "seed": %d, "deadline_factor": 1.5%s}|}
+                  name seed knob
+              in
+              Alcotest.(check string)
+                line
+                (render fresh_lookup line)
+                (render Workloads.Filters.lookup line))
+            [ 1; 7; 42 ])
+        knobs;
+      let graph seed = fst (Option.get (Workloads.Filters.lookup name ~seed)) in
+      Alcotest.(check bool) (name ^ ": one physical graph") true
+        (graph 1 == graph 2))
+    (Workloads.Filters.extended ());
+  Alcotest.(check bool) "unknown name" true
+    (Workloads.Filters.lookup "no such filter" ~seed:1 = None)
+
 (* --- run --------------------------------------------------------------- *)
 
 let qsuite tests = List.map (QCheck_alcotest.to_alcotest ~long:false) tests
@@ -681,7 +839,10 @@ let () =
           Alcotest.test_case "sensitivity" `Quick test_digest_sensitivity;
           Alcotest.test_case "edge order canonical" `Quick
             test_digest_edge_order_canonical;
-        ] );
+          Alcotest.test_case "extreme ints match the reference" `Quick
+            test_digest_extreme_ints;
+        ]
+        @ qsuite [ qcheck_digest_matches_reference ] );
       ( "cache",
         [
           Alcotest.test_case "byte-identical replay" `Quick
@@ -701,6 +862,8 @@ let () =
           Alcotest.test_case "digest-prefix routing" `Quick test_shard_routing;
           Alcotest.test_case "concurrent hammer, 4 domains" `Quick
             test_shard_concurrent_hammer;
+          Alcotest.test_case "concurrent hammer over shared graphs" `Quick
+            test_shared_graph_hammer;
         ]
         @ qsuite [ qcheck_sharded_matches_single_shard ] );
       ( "server",
@@ -731,5 +894,10 @@ let () =
           Alcotest.test_case "serve channels" `Quick test_jsonl_serve_channels;
           Alcotest.test_case "admission round trip" `Quick
             test_jsonl_serve_admission;
+        ] );
+      ( "shared",
+        [
+          Alcotest.test_case "byte-identical to fresh graphs" `Quick
+            test_shared_lookup_byte_identical;
         ] );
     ]
