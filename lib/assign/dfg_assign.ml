@@ -11,19 +11,18 @@ let expand_oriented ?max_nodes orientation g =
   | Forward -> Dfg.Expand.expand ?max_nodes g
   | Transposed -> Dfg.Expand.expand ?max_nodes (Dfg.Transpose.transpose g)
 
-let choose_tree ?max_nodes g =
-  let forward = expand_oriented ?max_nodes Forward g in
-  let transposed = expand_oriented ?max_nodes Transposed g in
-  if
-    Dfg.Graph.num_nodes forward.Dfg.Expand.graph
-    <= Dfg.Graph.num_nodes transposed.Dfg.Expand.graph
-  then (Forward, forward)
-  else (Transposed, transposed)
+(* Both sizes are path counts, so only the winner is ever expanded. *)
+let choose_tree ?(max_nodes = Dfg.Expand.default_max_nodes) g =
+  let forward, transposed = Dfg.Expand.sizes ~max_nodes g in
+  if Int.min forward transposed > max_nodes then
+    raise (Dfg.Expand.Too_large max_nodes);
+  let orientation = if forward <= transposed then Forward else Transposed in
+  (orientation, expand_oriented ~max_nodes orientation g)
 
 (* Among the tree copies of original node [v], pick the type with minimum
    execution time; break ties toward lower cost, then lower type index, so
-   the choice is deterministic. *)
-let min_time_choice table tree_assignment copies v =
+   the choice is deterministic. [type_of c] is copy [c]'s tree type. *)
+let min_time_choice table type_of copies v =
   let better t t' =
     let time ty = Fulib.Table.time table ~node:v ~ftype:ty in
     let cost ty = Fulib.Table.cost table ~node:v ~ftype:ty in
@@ -35,9 +34,7 @@ let min_time_choice table tree_assignment copies v =
   match copies with
   | [] -> invalid_arg "Dfg_assign: node without copies"
   | c :: rest ->
-      List.fold_left
-        (fun acc c' -> better acc tree_assignment.(c'))
-        tree_assignment.(c) rest
+      List.fold_left (fun acc c' -> better acc (type_of c')) (type_of c) rest
 
 (* Project the table's flat rows through the expansion's origin map: tree
    copy [i] gets original node [origin.(i)]'s row. The result is owned by
@@ -98,7 +95,8 @@ let once_on_tree tree g table ~deadline =
       let n = Dfg.Graph.num_nodes g in
       let a = Array.make n 0 in
       for v = 0 to n - 1 do
-        a.(v) <- min_time_choice table ta tree.Dfg.Expand.copies.(v) v
+        a.(v) <-
+          min_time_choice table (Array.get ta) tree.Dfg.Expand.copies.(v) v
       done;
       Some a
 
@@ -111,22 +109,46 @@ let once ?max_nodes g table ~deadline =
   once_on_tree tree g table ~deadline
 
 let order_dups tree order dups =
+  (* Greatest copy count first; stable on ties (ascending id). *)
+  let by_copies () =
+    List.stable_sort
+      (fun u v ->
+        Int.compare
+          (Dfg.Expand.copy_count tree v)
+          (Dfg.Expand.copy_count tree u))
+      dups
+  in
   match order with
   | `By_id -> dups
-  | `By_copies ->
-      (* Greatest copy count first; stable on ties (ascending id). *)
-      List.stable_sort
-        (fun u v ->
-          compare (Dfg.Expand.copy_count tree v) (Dfg.Expand.copy_count tree u))
-        dups
-  | `Reverse ->
-      List.rev
-        (List.stable_sort
-           (fun u v ->
-             compare
-               (Dfg.Expand.copy_count tree v)
-               (Dfg.Expand.copy_count tree u))
-           dups)
+  | `By_copies -> by_copies ()
+  | `Reverse -> List.rev (by_copies ())
+
+(* The Repeat fixing step on a kernel: solve, read only [v]'s copies (each
+   one root-path walk, not a full backtrack) and pin them all to their
+   min-time type, which is returned; [None] when the tree is infeasible. *)
+let fix_copies kernel table copies v =
+  if not (Tree_kernel.feasible kernel) then None
+  else begin
+    let t =
+      min_time_choice table
+        (fun c -> Tree_kernel.type_at kernel ~node:c)
+        copies v
+    in
+    List.iter (fun copy -> Tree_kernel.pin kernel ~node:copy ~ftype:t) copies;
+    Some t
+  end
+
+(* After the fixing passes: duplicated nodes keep their fixed types, the
+   rest read the final tree solve. *)
+let read_back table tree ta a =
+  Array.iteri
+    (fun v t ->
+      if t < 0 then
+        match tree.Dfg.Expand.copies.(v) with
+        | [ c ] -> a.(v) <- ta.(c)
+        | copies -> a.(v) <- min_time_choice table (Array.get ta) copies v)
+    a;
+  a
 
 (* [DFG_Assign_Repeat], incremental: one kernel is created for the expanded
    tree, and each pinning pass re-solves only the DP rows of the pinned
@@ -148,25 +170,13 @@ let repeat_with_order ?max_nodes ~order g table ~deadline =
         let kernel = tree_kernel ?forbid tree table ~deadline in
         List.iter
           (fun v ->
-            match Tree_kernel.solve kernel with
+            match fix_copies kernel table tree.Dfg.Expand.copies.(v) v with
             | None -> raise Infeasible
-            | Some (ta, _) ->
-                let t = min_time_choice table ta tree.Dfg.Expand.copies.(v) v in
-                a.(v) <- t;
-                List.iter
-                  (fun copy -> Tree_kernel.pin kernel ~node:copy ~ftype:t)
-                  tree.Dfg.Expand.copies.(v))
+            | Some t -> a.(v) <- t)
           dups;
         match Tree_kernel.solve kernel with
         | None -> raise Infeasible
-        | Some (ta, _) ->
-            for v = 0 to n - 1 do
-              if a.(v) < 0 then
-                match tree.Dfg.Expand.copies.(v) with
-                | [ c ] -> a.(v) <- ta.(c)
-                | copies -> a.(v) <- min_time_choice table ta copies v
-            done;
-            Some a
+        | Some (ta, _) -> Some (read_back table tree ta a)
       end
     with Infeasible -> None
   end
@@ -217,7 +227,7 @@ let repeat_search ?pool ?max_nodes g table ~deadline =
       let exception Infeasible in
       try
         let remaining =
-          ref (List.sort compare (Dfg.Expand.duplicated_nodes tree))
+          ref (List.sort Int.compare (Dfg.Expand.duplicated_nodes tree))
         in
         while !remaining <> [] do
           Obs.Counter.incr c_search_rounds;
@@ -229,7 +239,8 @@ let repeat_search ?pool ?max_nodes g table ~deadline =
               let choice =
                 Array.map
                   (fun v ->
-                    min_time_choice table ta tree.Dfg.Expand.copies.(v) v)
+                    min_time_choice table (Array.get ta)
+                      tree.Dfg.Expand.copies.(v) v)
                   cands
               in
               let scores =
@@ -271,14 +282,7 @@ let repeat_search ?pool ?max_nodes g table ~deadline =
         done;
         match solve_copy () with
         | None -> raise Infeasible
-        | Some (ta, _) ->
-            for v = 0 to n - 1 do
-              if a.(v) < 0 then
-                match tree.Dfg.Expand.copies.(v) with
-                | [ c ] -> a.(v) <- ta.(c)
-                | copies -> a.(v) <- min_time_choice table ta copies v
-            done;
-            Some a
+        | Some (ta, _) -> Some (read_back table tree ta a)
       with Infeasible -> None
     end
   end
@@ -377,29 +381,15 @@ module Repeat_session = struct
               if t.dups <> [] then t.pinned <- true;
               List.iter
                 (fun v ->
-                  match Tree_kernel.solve t.kernel with
+                  match
+                    fix_copies t.kernel t.table t.tree.Dfg.Expand.copies.(v) v
+                  with
                   | None -> raise Infeasible
-                  | Some (ta, _) ->
-                      let ty =
-                        min_time_choice t.table ta t.tree.Dfg.Expand.copies.(v)
-                          v
-                      in
-                      a.(v) <- ty;
-                      List.iter
-                        (fun copy ->
-                          Tree_kernel.pin t.kernel ~node:copy ~ftype:ty)
-                        t.tree.Dfg.Expand.copies.(v))
+                  | Some ty -> a.(v) <- ty)
                 t.dups;
               match Tree_kernel.solve t.kernel with
               | None -> raise Infeasible
-              | Some (ta, _) ->
-                  for v = 0 to t.n - 1 do
-                    if a.(v) < 0 then
-                      match t.tree.Dfg.Expand.copies.(v) with
-                      | [ c ] -> a.(v) <- ta.(c)
-                      | copies -> a.(v) <- min_time_choice t.table ta copies v
-                  done;
-                  Some a
+              | Some (ta, _) -> Some (read_back t.table t.tree ta a)
             end
           with Infeasible -> None
         in
@@ -429,7 +419,9 @@ let repeat_reference ?max_nodes g table ~deadline =
         match solve_tree !tree_table with
         | None -> raise Infeasible
         | Some ta ->
-            let t = min_time_choice table ta tree.Dfg.Expand.copies.(v) v in
+            let t =
+              min_time_choice table (Array.get ta) tree.Dfg.Expand.copies.(v) v
+            in
             a.(v) <- t;
             List.iter
               (fun copy ->
@@ -438,12 +430,5 @@ let repeat_reference ?max_nodes g table ~deadline =
       dups;
     match solve_tree !tree_table with
     | None -> raise Infeasible
-    | Some ta ->
-        for v = 0 to n - 1 do
-          if a.(v) < 0 then
-            match tree.Dfg.Expand.copies.(v) with
-            | [ c ] -> a.(v) <- ta.(c)
-            | copies -> a.(v) <- min_time_choice table ta copies v
-        done;
-        Some a
+    | Some ta -> Some (read_back table tree ta a)
   with Infeasible -> None

@@ -20,7 +20,11 @@ type orientation = Forward | Transposed
 
 (** The tree both heuristics work on: the smaller of [expand g] and
     [expand (transpose g)] (ties prefer [Forward]). Critical-path sums are
-    orientation-invariant, so either is sound. *)
+    orientation-invariant, so either is sound. The two sizes are counted
+    in O(V + E) ({!Dfg.Expand.sizes}) and only the smaller orientation is
+    expanded. Raises {!Dfg.Expand.Too_large} only when the smaller
+    orientation exceeds [max_nodes] (default
+    {!Dfg.Expand.default_max_nodes}). *)
 val choose_tree : ?max_nodes:int -> Dfg.Graph.t -> orientation * Dfg.Expand.tree
 
 val once :

@@ -30,6 +30,7 @@ type t = {
   x : int array;  (* n*(deadline+1) subtree costs; [infeasible] = none *)
   choice : int array;  (* n*(deadline+1) chosen type; -1 = none *)
   combined : int array;  (* scratch: children cost sums per budget *)
+  row_lo : int array;  (* per node: least feasible budget, deadline+1 if none *)
   dirty : bool array;
   mutable unsolved : bool;  (* no DP rows computed yet *)
   mutable any_dirty : bool;
@@ -69,6 +70,7 @@ let create ?forbid g ~times ~costs ~k ~deadline =
     x = Array.make (n * w) infeasible;
     choice = Array.make (n * w) (-1);
     combined = Array.make w 0;
+    row_lo = Array.make n w;
     dirty = Array.make n false;
     unsolved = true;
     any_dirty = false;
@@ -78,52 +80,54 @@ let deadline t = t.deadline
 
 (* One DP row: X_v(j) = min over types of cost(v,t) + sum over children c of
    X_c(j - time(v,t)), matching the reference [Tree_assign.dp] recurrence
-   (and its first-minimum tie-breaking) exactly. *)
+   (and its first-minimum tie-breaking) exactly.
+
+   A subtree that fits budget [j] also fits any larger one, so every row
+   is infeasible below its [row_lo] and feasible from there on. The
+   children's sum is therefore finite exactly from [clo], the largest
+   child [row_lo], and the row below [clo] is all [infeasible] / -1
+   without any work. Children are summed one whole row at a time and
+   types tried one at a time, ascending with a strict [<], so each budget
+   still keeps the first type that reaches its minimum. *)
 let compute_row t v =
   let w = t.deadline + 1 in
   let base = v * w in
   let succ_off, succ_tgt = Dfg.Graph.csr_succs t.g in
   let lo = succ_off.(v) and hi = succ_off.(v + 1) in
-  if lo = hi then Array.fill t.combined 0 w 0
-  else
-    for j = 0 to t.deadline do
-      let sum = ref 0 in
-      let i = ref lo in
-      while !i < hi do
-        let c = succ_tgt.(!i) in
-        let xc = t.x.((c * w) + j) in
-        if !sum = infeasible || xc = infeasible then begin
-          sum := infeasible;
-          i := hi
-        end
-        else begin
-          sum := !sum + xc;
-          incr i
-        end
-      done;
-      t.combined.(j) <- !sum
+  let clo = ref 0 in
+  for i = lo to hi - 1 do
+    clo := Int.max !clo t.row_lo.(succ_tgt.(i))
+  done;
+  let clo = !clo in
+  Array.fill t.x base w infeasible;
+  Array.fill t.choice base w (-1);
+  if clo > t.deadline then t.row_lo.(v) <- w
+  else begin
+    Array.fill t.combined clo (w - clo) 0;
+    for i = lo to hi - 1 do
+      let cbase = succ_tgt.(i) * w in
+      for j = clo to t.deadline do
+        t.combined.(j) <- t.combined.(j) + t.x.(cbase + j)
+      done
     done;
-  let trow = v * t.k in
-  let masked = Array.length t.forbid > 0 in
-  for j = 0 to t.deadline do
-    let best = ref infeasible and best_t = ref (-1) in
+    let trow = v * t.k in
+    let masked = Array.length t.forbid > 0 in
+    let row_lo = ref w in
     for ty = 0 to t.k - 1 do
-      let dt = t.times.(trow + ty) in
-      if
-        (not (masked && t.forbid.(trow + ty)))
-        && j - dt >= 0
-        && t.combined.(j - dt) <> infeasible
-      then begin
-        let c = t.combined.(j - dt) + t.costs.(trow + ty) in
-        if c < !best then begin
-          best := c;
-          best_t := ty
-        end
+      if not (masked && t.forbid.(trow + ty)) then begin
+        let dt = t.times.(trow + ty) and cost = t.costs.(trow + ty) in
+        row_lo := Int.min !row_lo (clo + dt);
+        for j = clo + dt to t.deadline do
+          let c = t.combined.(j - dt) + cost in
+          if c < t.x.(base + j) then begin
+            t.x.(base + j) <- c;
+            t.choice.(base + j) <- ty
+          end
+        done
       end
     done;
-    t.x.(base + j) <- !best;
-    t.choice.(base + j) <- !best_t
-  done
+    t.row_lo.(v) <- !row_lo
+  end
 
 let ensure t =
   if t.unsolved then begin
@@ -226,6 +230,29 @@ let solve t =
     in
     Some (a, total)
   end
+
+let feasible t =
+  Obs.Counter.incr c_solves;
+  ensure t;
+  let w = t.deadline + 1 in
+  Array.for_all
+    (fun r -> t.x.((r * w) + t.deadline) <> infeasible)
+    (Dfg.Graph.roots_arr t.g)
+
+(* [solve]'s backtrack restricted to one root path: climb to the root,
+   then hand the budget down the path. O(depth) and no O(n) arrays. *)
+let type_at t ~node =
+  ensure t;
+  let w = t.deadline + 1 in
+  let rec up v path = if v < 0 then path else up t.parent.(v) (v :: path) in
+  let rec down b = function
+    | [] -> assert false
+    | v :: rest ->
+        let ty = t.choice.((v * w) + b) in
+        if ty < 0 then invalid_arg "Tree_kernel.type_at: infeasible";
+        if rest = [] then ty else down (b - t.times.((v * t.k) + ty)) rest
+  in
+  down t.deadline (up node [])
 
 let dp_row t ~node =
   ensure t;

@@ -9,6 +9,10 @@
       [DFG_Assign_Repeat] fixing step), dirtying just the node and its
       ancestor chain — so the re-solve after a pin costs O(depth · T · K)
       instead of O(n · T · K);
+    - {!feasible} and {!type_at}: the probes a fixing step needs — is the
+      forest feasible, and which type does the optimum give one node —
+      answered from the cached rows by walking one root path, without
+      {!solve}'s O(n) backtrack;
     - {!dp_row}: a copy of one node's DP row from the cached matrices.
 
     Results are bit-identical to the reference list-based DP
@@ -54,6 +58,15 @@ val pin : t -> node:int -> ftype:int -> unit
     behind the online re-solve mode ([Online.Controller]). Raises
     [Invalid_argument] on row width mismatch. *)
 val refresh : t -> node:int -> times:int array -> costs:int array -> unit
+
+(** [feasible t] is [true] iff {!solve} would return [Some _]; it runs
+    the same (incremental) DP without the O(n) backtrack. *)
+val feasible : t -> bool
+
+(** [type_at t ~node] is the type {!solve}'s assignment gives [node],
+    found by walking only [node]'s root path: O(depth) instead of O(n).
+    Raises [Invalid_argument] when the kernel is infeasible. *)
+val type_at : t -> node:int -> int
 
 (** [dp_row t ~node] is a fresh copy of X_node — entry [j] is the minimum
     subtree cost within path budget [j] ([max_int] = infeasible). *)

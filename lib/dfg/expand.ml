@@ -6,7 +6,35 @@ type tree = {
 
 exception Too_large of int
 
-let expand ?(max_nodes = 200_000) g =
+let default_max_nodes = 200_000
+
+(* A node's copy in the expansion roots one copy of every zero-delay
+   out-edge's subtree, so the subtree below [v] has
+   [1 + sum over out-edges (v, w) of size w] nodes; the transposed
+   expansion is the mirror over in-edges. One sweep each (post order,
+   then topological order), saturating at [max_nodes + 1] so exponential
+   counts cannot overflow. *)
+let sizes ?(max_nodes = default_max_nodes) g =
+  let cap = if max_nodes = max_int then max_int else max_nodes + 1 in
+  let add a b = if a >= cap - b then cap else a + b in
+  let n = Graph.num_nodes g in
+  let total sizes off tgt order roots =
+    Array.iter
+      (fun v ->
+        for i = off.(v) to off.(v + 1) - 1 do
+          sizes.(v) <- add sizes.(v) sizes.(tgt.(i))
+        done)
+      order;
+    Array.fold_left (fun acc r -> add acc sizes.(r)) 0 roots
+  in
+  let succ_off, succ_tgt = Graph.csr_succs g in
+  let pred_off, pred_tgt = Graph.csr_preds g in
+  ( total (Array.make n 1) succ_off succ_tgt (Graph.post_arr g)
+      (Graph.roots_arr g),
+    total (Array.make n 1) pred_off pred_tgt (Graph.topo_arr g)
+      (Graph.leaves_arr g) )
+
+let expand ?(max_nodes = default_max_nodes) g =
   let next_id = ref 0 in
   let rev_names = ref [] and rev_ops = ref [] and rev_origin = ref [] in
   let edges = ref [] in

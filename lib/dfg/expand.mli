@@ -20,8 +20,17 @@ exception Too_large of int
 (** [expand ?max_nodes g] builds the critical-path tree of [g]'s DAG portion.
     The number of tree nodes equals the number of distinct root-to-node paths
     in [g], which can be exponential; [max_nodes] (default [200_000]) bounds
-    it, raising {!Too_large} beyond. *)
+    it (default {!default_max_nodes}), raising {!Too_large} beyond. *)
 val expand : ?max_nodes:int -> Graph.t -> tree
+
+(** The default bound on expansion size, [200_000] nodes. *)
+val default_max_nodes : int
+
+(** [sizes ?max_nodes g] is the node count of [expand g] and of
+    [expand (Transpose.transpose g)], each capped at [max_nodes + 1]
+    (default {!default_max_nodes}), computed in O(V + E) without building
+    either tree. *)
+val sizes : ?max_nodes:int -> Graph.t -> int * int
 
 (** Original nodes that have more than one copy in the tree (the paper's
     {e duplicated nodes}), in ascending node order. *)

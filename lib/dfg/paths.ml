@@ -4,7 +4,7 @@ let longest_from g ~weight =
   Array.iter
     (fun v ->
       let tail =
-        Graph.fold_dag_succs g v ~init:0 ~f:(fun acc w -> max acc best.(w))
+        Graph.fold_dag_succs g v ~init:0 ~f:(fun acc w -> Int.max acc best.(w))
       in
       let wv = weight v in
       if wv < 0 then invalid_arg "Paths: negative weight";
@@ -18,7 +18,7 @@ let longest_to g ~weight =
   Array.iter
     (fun v ->
       let head =
-        Graph.fold_dag_preds g v ~init:0 ~f:(fun acc p -> max acc best.(p))
+        Graph.fold_dag_preds g v ~init:0 ~f:(fun acc p -> Int.max acc best.(p))
       in
       let wv = weight v in
       if wv < 0 then invalid_arg "Paths: negative weight";
@@ -28,7 +28,7 @@ let longest_to g ~weight =
 
 let longest_path g ~weight =
   let from = longest_from g ~weight in
-  Array.fold_left (fun acc r -> max acc from.(r)) 0 (Graph.roots_arr g)
+  Array.fold_left (fun acc r -> Int.max acc from.(r)) 0 (Graph.roots_arr g)
 
 let critical_paths g =
   let rec extend v =

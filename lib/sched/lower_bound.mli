@@ -8,7 +8,9 @@
     for the last [s] steps. The bound is the maximum over every prefix and
     suffix length. Counting busy steps (not node starts) generalises the
     paper's per-step node counts to multi-cycle operations and coincides
-    with them when all times are 1. *)
+    with them when all times are 1. Each node's forced work is a ramp in
+    [s], so the per-type sums over every [s] take O(n + k·deadline)
+    integer steps, not O(n·deadline). *)
 
 (** [per_type ?pipelined ?frames g table a ~deadline] returns the per-type
     lower bounds. [None] when the assignment cannot meet the deadline at

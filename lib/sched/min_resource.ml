@@ -27,7 +27,7 @@ let run ?(pipelined = fun _ -> false) ?frames g table a ~deadline =
           let time v = times.((v * k) + a.(v)) in
           let capacity = Array.copy lower_bound in
           (* occupancy.(t).(s) = instances of type t busy during step s *)
-          let occupancy = Array.make_matrix k (max deadline 1) 0 in
+          let occupancy = Array.make_matrix k (Int.max deadline 1) 0 in
           let start = Array.make n (-1) in
           let unscheduled_preds =
             Array.init n (fun v -> Dfg.Graph.dag_in_degree g v)
@@ -54,27 +54,56 @@ let run ?(pipelined = fun _ -> false) ?frames g table a ~deadline =
             done;
             Dfg.Graph.iter_dag_succs g v (fun w ->
                 unscheduled_preds.(w) <- unscheduled_preds.(w) - 1;
-                pred_finish.(w) <- max pred_finish.(w) (step + time v))
+                pred_finish.(w) <- Int.max pred_finish.(w) (step + time v))
           in
           let ready step v =
             start.(v) < 0 && unscheduled_preds.(v) = 0 && pred_finish.(v) <= step
           in
+          (* Unscheduled nodes in least-slack order (ALAP start, then id),
+             sorted once; nodes sharing an ALAP start form a run in
+             ascending id. Scheduled nodes are dropped as the steps go. *)
+          let pending = Array.init n Fun.id in
+          Array.sort
+            (fun v w ->
+              let c = Int.compare alap.(v) alap.(w) in
+              if c <> 0 then c else Int.compare v w)
+            pending;
+          let live = ref n in
+          let snapshot = Array.make n 0 in
           for step = 0 to deadline - 1 do
             (* Deadline-critical nodes first: ALAP start = now, start whatever
-               the cost in new FU instances. *)
-            for v = 0 to n - 1 do
-              if ready step v && alap.(v) = step then occupy v step
+               the cost in new FU instances. They are the run of [pending]
+               with ALAP start [step], after any unscheduled node whose ALAP
+               start has passed. *)
+            let i = ref 0 in
+            while !i < !live && alap.(pending.(!i)) < step do
+              incr i
             done;
-            (* Fill remaining capacity with ready nodes, least slack first,
-               without growing the configuration. *)
-            let candidates =
-              List.filter (ready step)
-                (List.init n (fun i -> i))
-            in
-            let by_slack =
-              List.sort (fun v w -> compare (alap.(v), v) (alap.(w), w)) candidates
-            in
-            List.iter (fun v -> if free_for v step then occupy v step) by_slack
+            while !i < !live && alap.(pending.(!i)) = step do
+              let v = pending.(!i) in
+              if ready step v then occupy v step;
+              incr i
+            done;
+            (* Fill remaining capacity with the nodes ready now, least slack
+               first, without growing the configuration; compact [pending]
+               in the same pass. *)
+            let kept = ref 0 and ready_now = ref 0 in
+            for j = 0 to !live - 1 do
+              let v = pending.(j) in
+              if start.(v) < 0 then begin
+                pending.(!kept) <- v;
+                incr kept;
+                if ready step v then begin
+                  snapshot.(!ready_now) <- v;
+                  incr ready_now
+                end
+              end
+            done;
+            live := !kept;
+            for j = 0 to !ready_now - 1 do
+              let v = snapshot.(j) in
+              if free_for v step then occupy v step
+            done
           done;
           let schedule = { Schedule.start; assignment = Array.copy a } in
           (* the Min_FU configuration is derived from the finished

@@ -10,7 +10,9 @@ let finish table s v = s.start.(v) + node_time table s v
 
 let length table s =
   let n = Array.length s.start in
-  let rec go v acc = if v < 0 then acc else go (v - 1) (max acc (finish table s v)) in
+  let rec go v acc =
+    if v < 0 then acc else go (v - 1) (Int.max acc (finish table s v))
+  in
   go (n - 1) 0
 
 let respects_precedence g table s =
@@ -28,7 +30,7 @@ let meets_deadline table s ~deadline = length table s <= deadline
 let usage_per_step ?(pipelined = fun _ -> false) table s =
   let k = Fulib.Table.num_types table in
   let len = length table s in
-  let usage = Array.make_matrix k (max len 1) 0 in
+  let usage = Array.make_matrix k (Int.max len 1) 0 in
   Array.iteri
     (fun v ftype ->
       let t = Fulib.Table.time table ~node:v ~ftype in
@@ -42,7 +44,7 @@ let usage_per_step ?(pipelined = fun _ -> false) table s =
   usage
 
 let peak_usage ?pipelined table s =
-  Array.map (Array.fold_left max 0) (usage_per_step ?pipelined table s)
+  Array.map (Array.fold_left Int.max 0) (usage_per_step ?pipelined table s)
 
 let fits ?pipelined table s ~config =
   Config.dominates config (peak_usage ?pipelined table s)

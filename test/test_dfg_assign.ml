@@ -80,6 +80,23 @@ let test_choose_tree_picks_smaller () =
     (orientation = Assign.Dfg_assign.Transposed);
   Alcotest.(check int) "4 nodes" 4 (Dfg.Graph.num_nodes tree.Dfg.Expand.graph)
 
+let test_choose_tree_fits_smaller () =
+  (* The 4-stage lattice expands to 17 nodes forward and 33 transposed: a
+     bound between the two must pick the forward tree, not raise because
+     the larger orientation would not fit. *)
+  let g = Workloads.Filters.lattice ~stages:4 in
+  let forward = Dfg.Expand.expand g in
+  let transposed = Dfg.Expand.expand (Dfg.Transpose.transpose g) in
+  Alcotest.(check (pair int int)) "sizes" (17, 33)
+    ( Dfg.Graph.num_nodes forward.Dfg.Expand.graph,
+      Dfg.Graph.num_nodes transposed.Dfg.Expand.graph );
+  let orientation, tree = Assign.Dfg_assign.choose_tree ~max_nodes:20 g in
+  Alcotest.(check bool) "forward chosen" true
+    (orientation = Assign.Dfg_assign.Forward);
+  Alcotest.(check int) "17 nodes" 17 (Dfg.Graph.num_nodes tree.Dfg.Expand.graph);
+  Alcotest.check_raises "both too large" (Dfg.Expand.Too_large 16) (fun () ->
+      ignore (Assign.Dfg_assign.choose_tree ~max_nodes:16 g))
+
 let test_once_oriented_both_feasible () =
   let g = diamond () and tbl = diamond_table () in
   let deadline = 9 in
@@ -144,6 +161,8 @@ let () =
           quick "tree input -> optimum" test_tree_input_gives_optimum;
           quick "repeat <= once on benchmarks" test_repeat_never_worse_than_once_on_benchmarks;
           quick "choose_tree picks smaller" test_choose_tree_picks_smaller;
+          quick "choose_tree fits the smaller orientation"
+            test_choose_tree_fits_smaller;
           quick "both orientations feasible" test_once_oriented_both_feasible;
           quick "all fixing orders feasible" test_repeat_orders_all_feasible;
           quick "near-optimal on small DAGs" test_heuristics_near_optimal_small_dags;

@@ -1,7 +1,8 @@
 (* Differential tests for the flat solver-context layer: the CSR graph
-   views, flat table views, flat/incremental DP kernels and threaded
-   ASAP/ALAP frames must be bit-identical to the reference (pre-refactor)
-   implementations they replaced. *)
+   views, flat table views, flat/incremental DP kernels, threaded
+   ASAP/ALAP frames, the counted tree orientation and the linear-time
+   lower bound and list scheduler must be bit-identical to the reference
+   (pre-refactor) implementations they replaced. *)
 
 let of_seed f =
   QCheck.make ~print:string_of_int QCheck.Gen.(map abs int) |> fun arb ->
@@ -181,6 +182,162 @@ let min_resource_frames_threading =
           | None, None -> true
           | _ -> false))
 
+(* --- Phase 1/2 kernels against the test-side oracles ------------------ *)
+
+(* A random DAG with repeated edges and delayed edges, a table that is
+   plain (3 types), DVFS-leveled (k = 9) or memory-constrained, a deadline
+   in [min_makespan, 3 x min_makespan], an assignment (min-time or
+   random, so some miss the deadline) and a random pipelined-type set. *)
+let phase_instance seed =
+  let rng = Workloads.Prng.create seed in
+  let int = Workloads.Prng.int rng in
+  let n = 1 + int 14 in
+  let g = Workloads.Random_dfg.random_dag rng ~n ~extra_edges:(int 5) in
+  let edges = Dfg.Graph.edges g in
+  let repeated = List.filter (fun _ -> int 4 = 0) edges in
+  let delayed =
+    List.init (int 3) (fun _ ->
+        { Dfg.Graph.src = int n; dst = int n; delay = 1 + int 2; size = 0 })
+  in
+  let g =
+    Dfg.Graph.of_edges ~names:(Dfg.Graph.names g)
+      ~ops:(Array.init n (Dfg.Graph.op g))
+      (edges @ repeated @ delayed)
+  in
+  let variant = int 3 in
+  let g = if variant = 2 then Workloads.Random_dfg.with_sizes rng g else g in
+  let tbl =
+    Workloads.Tables.random_arbitrary rng ~library:Fulib.Library.standard3
+      ~num_nodes:n ~max_time:4 ~max_cost:9
+  in
+  let tbl =
+    match variant with
+    | 1 ->
+        fst
+          (Fulib.Dvfs.expand tbl ~levels:(Fulib.Dvfs.uniform ~levels:3 ~types:3))
+    | 2 -> Workloads.Tables.mem_tight g tbl
+    | _ -> tbl
+  in
+  let k = Fulib.Table.num_types tbl in
+  let tmin = Assign.Assignment.min_makespan g tbl in
+  let deadline = tmin + int ((2 * tmin) + 1) in
+  let a =
+    if int 3 = 0 then Array.init n (fun _ -> int k)
+    else Array.init n (Fulib.Table.min_time_type tbl)
+  in
+  let pipe = Array.init k (fun _ -> int 3 = 0) in
+  (g, tbl, deadline, a, Array.get pipe)
+
+let lower_bound_equals_reference =
+  of_seed (fun seed ->
+      let g, tbl, deadline, a, pipelined = phase_instance seed in
+      Sched.Lower_bound.per_type ~pipelined g tbl a ~deadline
+      = Phase_reference.lower_bound ~pipelined g tbl a ~deadline
+      && Sched.Lower_bound.per_type g tbl a ~deadline
+         = Phase_reference.lower_bound g tbl a ~deadline)
+
+let min_resource_equals_reference =
+  of_seed (fun seed ->
+      let g, tbl, deadline, a, pipelined = phase_instance seed in
+      Sched.Min_resource.run ~pipelined g tbl a ~deadline
+      = Phase_reference.min_resource ~pipelined g tbl a ~deadline
+      && Sched.Min_resource.run g tbl a ~deadline
+         = Phase_reference.min_resource g tbl a ~deadline)
+
+let same_tree (o, t) (o', t') =
+  o = o'
+  && t.Dfg.Expand.origin = t'.Dfg.Expand.origin
+  && t.Dfg.Expand.copies = t'.Dfg.Expand.copies
+  && Dfg.Graph.edges t.Dfg.Expand.graph = Dfg.Graph.edges t'.Dfg.Expand.graph
+
+let choose_tree_equals_reference =
+  of_seed (fun seed ->
+      let g, _, _, _, _ = phase_instance seed in
+      let size tree = Dfg.Graph.num_nodes tree.Dfg.Expand.graph in
+      Dfg.Expand.sizes g
+      = ( size (Dfg.Expand.expand g),
+          size (Dfg.Expand.expand (Dfg.Transpose.transpose g)) )
+      && same_tree (Assign.Dfg_assign.choose_tree g)
+           (Phase_reference.choose_tree g))
+
+(* A kernel over an expanded random DAG, with a random placement mask
+   half the time, together with the caller-side copies of its rows. *)
+let kernel_instance seed =
+  let rng = Workloads.Prng.create seed in
+  let int = Workloads.Prng.int rng in
+  let n = 1 + int 10 in
+  let dag = Workloads.Random_dfg.random_dag rng ~n ~extra_edges:(int 4) in
+  let tree = (Dfg.Expand.expand dag).Dfg.Expand.graph in
+  let tn = Dfg.Graph.num_nodes tree and k = 1 + int 4 in
+  let row () = Array.init k (fun _ -> 1 + int 4) in
+  let times = Array.concat (List.init tn (fun _ -> row ())) in
+  let costs = Array.init (tn * k) (fun _ -> int 10) in
+  let forbid =
+    if int 2 = 0 then Some (Array.init (tn * k) (fun _ -> int 5 = 0)) else None
+  in
+  let deadline = int (4 * Dfg.Graph.num_nodes tree) in
+  (rng, tree, k, times, costs, forbid, deadline)
+
+(* Random pin/refresh sequences (with solves in between, so dirty chains
+   are recomputed incrementally), mirrored on plain arrays: afterwards
+   every DP row must equal the row of a fresh kernel built on the current
+   rows, and [type_at] must agree with [solve]'s full backtrack. *)
+let kernel_pin_refresh_matches_fresh =
+  of_seed (fun seed ->
+      let rng, tree, k, times, costs, forbid, deadline = kernel_instance seed in
+      let int = Workloads.Prng.int rng in
+      let tn = Dfg.Graph.num_nodes tree in
+      let kernel =
+        Assign.Tree_kernel.create ?forbid tree ~times:(Array.copy times)
+          ~costs:(Array.copy costs) ~k ~deadline
+      in
+      let mask = Option.map Array.copy forbid in
+      for _ = 1 to int 12 do
+        let node = int tn in
+        let row = node * k in
+        (if int 2 = 0 then begin
+           let ftype = int k in
+           Assign.Tree_kernel.pin kernel ~node ~ftype;
+           let t = times.(row + ftype) and c = costs.(row + ftype) in
+           Array.fill times row k t;
+           Array.fill costs row k c;
+           Option.iter (fun m -> Array.fill m row k m.(row + ftype)) mask
+         end
+         else begin
+           let rt = Array.init k (fun _ -> 1 + int 4) in
+           let rc = Array.init k (fun _ -> int 10) in
+           Assign.Tree_kernel.refresh kernel ~node ~times:rt ~costs:rc;
+           Array.blit rt 0 times row k;
+           Array.blit rc 0 costs row k;
+           Option.iter
+             (fun m -> Array.blit (Option.get forbid) row m row k)
+             mask
+         end);
+        if int 3 = 0 then ignore (Assign.Tree_kernel.solve kernel)
+      done;
+      let fresh =
+        Assign.Tree_kernel.create ?forbid:mask tree ~times:(Array.copy times)
+          ~costs:(Array.copy costs) ~k ~deadline
+      in
+      let rows_equal =
+        List.for_all
+          (fun node ->
+            Assign.Tree_kernel.dp_row kernel ~node
+            = Assign.Tree_kernel.dp_row fresh ~node)
+          (List.init tn Fun.id)
+      in
+      let solved = Assign.Tree_kernel.solve kernel in
+      rows_equal
+      && same_opt solved (Assign.Tree_kernel.solve fresh)
+      && Assign.Tree_kernel.feasible kernel = Option.is_some solved
+      &&
+      match solved with
+      | None -> true
+      | Some (ta, _) ->
+          List.for_all
+            (fun node -> Assign.Tree_kernel.type_at kernel ~node = ta.(node))
+            (List.init tn Fun.id))
+
 (* --- The six paper benchmarks ----------------------------------------- *)
 
 let benchmark_table (name, g) =
@@ -269,6 +426,17 @@ let () =
           prop "frames = (asap, alap)" 300 frames_equal_asap_alap;
           prop "min-resource with threaded frames unchanged" 200
             min_resource_frames_threading;
+        ] );
+      ( "oracles",
+        [
+          prop "lower bound = stepped reference" 400
+            lower_bound_equals_reference;
+          prop "min-resource = list-based reference" 400
+            min_resource_equals_reference;
+          prop "counted choose_tree = built-both reference" 300
+            choose_tree_equals_reference;
+          prop "pin/refresh rows = fresh kernel; type_at = backtrack" 400
+            kernel_pin_refresh_matches_fresh;
         ] );
       ( "benchmarks",
         [
